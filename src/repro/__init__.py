@@ -13,13 +13,15 @@ hold the full system:
 - :mod:`repro.workloads` — synthetic content and the Table 4 streams.
 
 Run ``python -m repro --help`` for the command-line tools.
+
+The exports below, and those of :mod:`repro.mpeg2`, :mod:`repro.parallel`
+and :mod:`repro.perf`, load on first access, so importing one submodule
+does not import the rest of the package.
 """
 
 __version__ = "1.0.0"
 
-from repro.mpeg2 import Decoder, Encoder, EncoderConfig, decode_stream, psnr
-from repro.parallel import ParallelDecoder
-from repro.wall import TileLayout
+from repro._lazy import lazy_exports
 
 __all__ = [
     "__version__",
@@ -31,3 +33,16 @@ __all__ = [
     "ParallelDecoder",
     "TileLayout",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Decoder": "repro.mpeg2.decoder",
+        "Encoder": "repro.mpeg2.encoder",
+        "EncoderConfig": "repro.mpeg2.encoder",
+        "decode_stream": "repro.mpeg2.decoder",
+        "psnr": "repro.mpeg2.frames",
+        "ParallelDecoder": "repro.parallel.pipeline",
+        "TileLayout": "repro.wall.layout",
+    },
+)

@@ -33,7 +33,7 @@ import threading
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.runtime.config import WallConfig
 from repro.cluster.runtime.messages import (
@@ -93,6 +93,7 @@ from repro.net.channel import (
     ChannelTimeout,
     CreditGate,
     Listener,
+    Message,
     connect,
 )
 from repro.parallel.mb_splitter import MacroblockSplitter
@@ -197,9 +198,15 @@ def _hello_features(cfg: WallConfig, ch: Channel) -> dict:
 def accept_labeled(
     lst: Listener, me: str, cfg: WallConfig, timeout: float
 ) -> Tuple[str, Channel]:
-    """Accept one connection, read its HELLO, and reply with our own."""
+    """Accept one connection within ``timeout``, read its HELLO within
+    ``cfg.connect_timeout``, and reply with our own.  On any failure the
+    accepted channel is closed."""
     ch = lst.accept(timeout=timeout, dead_after=cfg.dead_after)
-    hello = ch.recv(timeout=timeout)
+    try:
+        hello = ch.recv(timeout=cfg.connect_timeout)
+    except ChannelError:
+        ch.close()
+        raise
     if hello.type != MSG_HELLO:
         ch.close()
         raise ProtocolError(f"{me}: first message was {hello.type}, not HELLO")
@@ -217,14 +224,22 @@ def _maybe_fail(cfg: WallConfig, name: str, picture: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _pump(ch: Channel, out_q: "queue.Queue", label: str) -> threading.Thread:
+def _pump(
+    ch: Channel,
+    out_q: "queue.Queue",
+    label: str,
+    relay: Optional[Callable[[Message], bool]] = None,
+) -> threading.Thread:
     """Reader thread: forward every inbound message (and the terminal
-    condition) into a queue the role's main loop consumes."""
+    condition) into a queue the role's main loop consumes.  A message
+    ``relay`` returns True for is handled there instead of queued."""
 
     def run() -> None:
         try:
             while True:
-                out_q.put(("msg", label, ch.recv()))
+                msg = ch.recv()
+                if relay is None or not relay(msg):
+                    out_q.put(("msg", label, msg))
         except ChannelClosed:
             out_q.put(("closed", label, None))
         except ChannelError as exc:
@@ -465,8 +480,23 @@ def run_splitter(cfg: WallConfig, rundir: Path, sid: int, tracer: TraceWriter) -
         dec_ch[t] = rv.dial(f"dec{t}", me, cfg)
         tracer.emit("connect", peer=f"dec{t}")
 
+    def relay_report(msg: Message) -> bool:
+        """Decoder telemetry rides the ack channel: relay it upstream (the
+        root's controller consumes it) the moment it arrives, so it is in
+        before the root's next repartition point; not an ack."""
+        if msg.type != MSG_REPORT:
+            return False
+        try:
+            root_ch.send(MSG_REPORT, msg.payload)
+        except (ChannelError, OSError):
+            pass  # root already gone: the report has no consumer
+        return True
+
     ack_q: "queue.Queue" = queue.Queue()
-    pumps = [_pump(dec_ch[t], ack_q, f"dec{t}") for t in range(n_tiles)]
+    pumps = [
+        _pump(dec_ch[t], ack_q, f"dec{t}", relay=relay_report)
+        for t in range(n_tiles)
+    ]
 
     seq_msg = root_ch.recv(cfg.connect_timeout)
     if seq_msg.type != MSG_SEQ:
@@ -511,11 +541,6 @@ def run_splitter(cfg: WallConfig, rundir: Path, sid: int, tracer: TraceWriter) -
                 raise ChannelClosed(f"{me}: {label} disconnected during ack wait")
             if kind == "error":
                 raise msg
-            if msg.type == MSG_REPORT:
-                # Decoder telemetry riding the ack channel: relay upstream
-                # (the root's controller consumes it); not an ack.
-                root_ch.send(MSG_REPORT, msg.payload)
-                continue
             if msg.type != MSG_ACK:
                 raise ProtocolError(f"{me}: unexpected {msg.type} from {label}")
             if msg.picture != expect_picture:

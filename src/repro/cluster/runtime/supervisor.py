@@ -6,15 +6,18 @@ one decode it:
 1. materializes a *run directory* (the rendezvous root): the encoded
    stream, ``cluster.json``, per-process trace/log files, and — for the
    Unix transport — the socket files themselves;
-2. binds the collector listener, then spawns ``1 + k + m*n`` worker
-   processes (``python -m repro.cluster.runtime.worker``);
+2. binds the collector listener, then starts one *launcher*
+   (``python -m repro.cluster.runtime.worker``) that imports the role
+   code once and forks the ``1 + k + m*n`` workers from it; one reader
+   thread turns the launcher's ``pid``/``exit`` report lines into a
+   :class:`WorkerHandle` per worker;
 3. accepts one channel per tile decoder and collects displayed tile
    crops until every picture is assembled, polling child liveness the
    whole time — a crashed worker becomes a :class:`ClusterError` with a
    per-process diagnostic report, never a hang;
 4. drains EOS, waits for children to exit (escalating terminate → kill
-   past the deadline), and merges every per-process trace into one
-   wall-clock timeline (``merged.trace.jsonl``).
+   past the deadline), waits for the launcher, and merges every
+   per-process trace into one wall-clock timeline (``merged.trace.jsonl``).
 
 The output is bit-identical to the sequential decoder — the same golden
 assertion the threaded runner carries, now across process boundaries.
@@ -25,9 +28,11 @@ from __future__ import annotations
 import json
 import os
 import queue
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import uuid
 from pathlib import Path
@@ -44,16 +49,18 @@ from repro.cluster.runtime.messages import (
     decode_tile_frame_hmsg,
 )
 from repro.mem import PoolRegistry, purge_pools
+from repro.cluster.runtime.worker import PR_SET_CHILD_SUBREAPER, prctl_setter
 from repro.cluster.runtime.roles import (
     CONFIG_FILE,
     STREAM_FILE,
+    ProtocolError,
     Rendezvous,
     accept_labeled,
     _pump,
 )
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import PictureScanner
-from repro.net.channel import Channel, ChannelTimeout, Listener
+from repro.net.channel import Channel, ChannelError, Listener
 from repro.perf.export import span_tail, write_chrome_trace
 from repro.perf.metrics import StageTimes
 from repro.perf.telemetry import emit_stats, registry
@@ -68,9 +75,15 @@ from repro.wall.layout import TileLayout
 
 MERGED_TRACE = "merged.trace.jsonl"
 PERFETTO_TRACE = "trace.perfetto.json"
+#: The launcher's own stderr (import failures, launcher crashes).
+LAUNCHER_LOG = "launcher.log"
+
 
 #: How many trailing trace events the crash post-mortem shows per process.
 POSTMORTEM_EVENTS = 8
+#: After a decoder channel fails, how long to wait for the process death
+#: behind it to show, so the error names the cause rather than the symptom.
+DEATH_SETTLE_S = 1.0
 
 
 class ClusterError(RuntimeError):
@@ -90,6 +103,61 @@ def _repro_pythonpath() -> str:
     return src_root + (os.pathsep + existing if existing else "")
 
 
+class WorkerHandle:
+    """One forked worker as the supervisor sees it.
+
+    The launcher, not the supervisor, is the worker's parent: the pid
+    arrives on a ``pid`` report line and the exit status on an ``exit``
+    line.  This mirrors the slice of :class:`subprocess.Popen` the
+    supervisor uses — ``pid``, ``returncode``, ``poll``, ``wait``,
+    ``terminate`` and ``kill``.
+    """
+
+    def __init__(self, name: str, pid: int):
+        self.name = name
+        self.pid = pid
+        self.returncode: Optional[int] = None
+        self._exited = threading.Event()
+
+    def _set_exit(self, returncode: int) -> None:
+        self.returncode = returncode
+        self._exited.set()
+
+    def poll(self) -> Optional[int]:
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        if not self._exited.wait(timeout):
+            raise subprocess.TimeoutExpired(self.name, timeout)
+        return self.returncode
+
+    def _signal(self, sig: int) -> None:
+        if self.returncode is None:
+            try:
+                os.kill(self.pid, sig)
+            except ProcessLookupError:
+                pass  # exited; the launcher's exit line is on its way
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+    def _reap_orphan(self) -> None:
+        """The launcher died without reporting this worker's exit: the
+        worker is now this process's child (the supervisor is a child
+        subreaper) and dying of the launcher's death signal; make sure,
+        then reap."""
+        self.kill()
+        try:
+            _pid, status = os.waitpid(self.pid, 0)
+            rc = os.waitstatus_to_exitcode(status)
+        except ChildProcessError:
+            rc = -signal.SIGKILL  # not re-parented here: nothing to reap
+        self._set_exit(rc)
+
+
 class ClusterSupervisor:
     """Run the 1-k-(m,n) pipeline as real OS processes and supervise it."""
 
@@ -97,7 +165,9 @@ class ClusterSupervisor:
         self.config = config
         self.trace_dir = trace_dir
         self.rundir: Optional[Path] = None
-        self.processes: Dict[str, subprocess.Popen] = {}
+        self.processes: Dict[str, WorkerHandle] = {}
+        self.launcher: Optional[subprocess.Popen] = None
+        self._reader: Optional[threading.Thread] = None
         self.stage_times = StageTimes()  # aggregated from decoder traces
         self.stage_times_by_proc: Dict[str, StageTimes] = {}
         self.merged_trace_path: Optional[Path] = None
@@ -148,7 +218,7 @@ class ClusterSupervisor:
         shm_dir = Path(cfg.shm_dir) if cfg.shm_dir else None
         pools = PoolRegistry(shm_dir) if cfg.pool_enabled else None
         try:
-            self._spawn(rundir, tracer)
+            self._launch(rundir, tracer)
             frames = self._collect(
                 collector, channels, layout, n_pics, n_tiles, timeout, tracer,
                 pools,
@@ -159,6 +229,7 @@ class ClusterSupervisor:
             self._teardown(tracer)
             raise
         finally:
+            self._close_launcher()
             for ch in channels.values():
                 ch.close()
             collector.close()
@@ -186,34 +257,82 @@ class ClusterSupervisor:
 
     # ------------------------------------------------------------------ #
 
-    def _spawn(self, rundir: Path, tracer: TraceWriter) -> None:
+    def _launch(self, rundir: Path, tracer: TraceWriter) -> None:
+        """Start the launcher; its reader thread fills ``self.processes``."""
         env = os.environ.copy()
         env["PYTHONPATH"] = _repro_pythonpath()
-        for name in self.config.process_names:
-            log = open(rundir / f"{name}.log", "wb")
-            proc = subprocess.Popen(
+        # Should the launcher die, its workers are re-parented here rather
+        # than to init (which, in a container, may never reap them), so
+        # the reader thread can reap them.  Process-wide and idempotent.
+        prctl_setter(PR_SET_CHILD_SUBREAPER, 1)()
+        with open(rundir / LAUNCHER_LOG, "wb") as log:
+            launcher = subprocess.Popen(
                 [
                     sys.executable,
                     "-m",
                     "repro.cluster.runtime.worker",
                     "--dir",
                     str(rundir),
-                    "--name",
-                    name,
+                    *self.config.process_names,
                 ],
-                stdout=log,
-                stderr=subprocess.STDOUT,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=log,
                 env=env,
                 cwd=str(rundir),
             )
-            log.close()  # the child holds its own descriptor
-            self.processes[name] = proc
-            tracer.emit("spawn", proc_name=name, pid=proc.pid)
+        self.launcher = launcher
+        tracer.emit("launch", pid=launcher.pid)
+        self._reader = threading.Thread(
+            target=self._read_launcher,
+            args=(launcher, tracer),
+            name="launcher-reader",
+            daemon=True,
+        )
+        self._reader.start()
+
+    def _read_launcher(self, launcher: subprocess.Popen, tracer: TraceWriter) -> None:
+        """Turn the launcher's report lines into worker handles and exits.
+
+        EOF means the launcher is gone.  Its normal exit follows its last
+        child; any worker still without an exit line was orphaned by a
+        launcher death and is reaped here.
+        """
+        for line in launcher.stdout:
+            parts = line.decode(errors="replace").split()
+            if len(parts) != 3:
+                continue  # not a report line
+            kind, name, value = parts
+            if kind == "pid":
+                self.processes[name] = WorkerHandle(name, int(value))
+                tracer.emit("spawn", proc_name=name, pid=int(value))
+            elif kind == "exit":
+                self.processes[name]._set_exit(int(value))
+        launcher.wait()
+        for proc in list(self.processes.values()):
+            if proc.returncode is None:
+                proc._reap_orphan()
+
+    def _close_launcher(self) -> None:
+        """Wait for the launcher.  EOF on its stdin makes it SIGKILL any
+        worker still running; one that ignores that too is killed."""
+        launcher = self.launcher
+        if launcher is None:
+            return
+        try:
+            launcher.stdin.close()
+        except OSError:
+            pass
+        self._reader.join(timeout=self.config.teardown_kill_s)
+        if self._reader.is_alive():
+            launcher.kill()
+            self._reader.join()
+        launcher.stdout.close()
 
     def _poll_children(self) -> Optional[str]:
         """Name of the first child that exited with a nonzero status."""
         dead: Optional[str] = None
-        for name, proc in self.processes.items():
+        for name, proc in list(self.processes.items()):
             rc = proc.poll()
             if rc is not None and rc != 0:
                 if name not in self._deaths_notified:
@@ -243,11 +362,25 @@ class ClusterSupervisor:
 
         def check(what: str) -> None:
             dead = self._poll_children()
+            # Read after the poll: the reader thread records the
+            # launcher's status before it reaps any orphaned worker, so
+            # a launcher death is named as such, not as its victims'.
+            launcher_rc = self.launcher.returncode if self.launcher else None
+            if launcher_rc not in (None, 0):
+                raise ClusterError(
+                    f"worker launcher (pid {self.launcher.pid}) exited with "
+                    f"status {launcher_rc} while {what}",
+                    self._diagnostics(),
+                )
             if dead is not None:
                 raise ClusterError(
                     f"worker {dead!r} exited with status "
                     f"{self.processes[dead].returncode} while {what}",
                     self._diagnostics(),
+                )
+            if self._stopped:
+                raise ClusterError(
+                    f"shutdown requested while {what}", self._diagnostics()
                 )
             if time.monotonic() >= deadline:
                 raise ClusterError(
@@ -260,7 +393,9 @@ class ClusterSupervisor:
             check("waiting for decoders to connect")
             try:
                 peer, ch = accept_labeled(collector, "supervisor", cfg, 0.25)
-            except ChannelTimeout:
+            except (ChannelError, ProtocolError):
+                # Nobody dialed, or a decoder died between connect and
+                # HELLO: the next check() names the dead worker.
                 continue
             if not peer.startswith("dec"):
                 raise ClusterError(f"unexpected connection from {peer!r}")
@@ -281,14 +416,15 @@ class ClusterSupervisor:
                 kind, label, msg = frame_q.get(timeout=0.25)
             except queue.Empty:
                 continue
-            if kind == "closed":
-                if label in eos_from:
-                    continue
-                raise ClusterError(
-                    f"{label} disconnected mid-stream", self._diagnostics()
-                )
-            if kind == "error":
-                raise ClusterError(f"{label}: {msg}", self._diagnostics())
+            if kind == "closed" and label in eos_from:
+                continue
+            if kind in ("closed", "error"):
+                settle_deadline = time.monotonic() + DEATH_SETTLE_S
+                while time.monotonic() < settle_deadline:
+                    check("collecting frames")
+                    time.sleep(0.02)
+                what = " disconnected mid-stream" if kind == "closed" else f": {msg}"
+                raise ClusterError(f"{label}{what}", self._diagnostics())
             if msg.type == MSG_ERROR:
                 proc_name, err = decode_error(msg.payload)
                 raise ClusterError(
@@ -380,7 +516,7 @@ class ClusterSupervisor:
         EOS cascade; escalate only past the deadline."""
         cfg = self.config
         deadline = time.monotonic() + min(timeout, cfg.shutdown_drain_s)
-        for name, proc in self.processes.items():
+        for name, proc in list(self.processes.items()):
             remaining = max(0.1, deadline - time.monotonic())
             try:
                 rc = proc.wait(timeout=remaining)
@@ -389,25 +525,14 @@ class ClusterSupervisor:
                 try:
                     rc = proc.wait(timeout=cfg.terminate_grace_s)
                 except subprocess.TimeoutExpired:
-                    proc.kill()
-                    rc = proc.wait()
+                    rc = self._kill(proc)
             tracer.emit("child_exit", proc_name=name, returncode=rc)
         self._harvest_stage_times()
         tracer.emit("shutdown")
 
     def _teardown(self, tracer: TraceWriter) -> None:
         """Failure path: kill every child so nothing outlives the error."""
-        for name, proc in self.processes.items():
-            if proc.poll() is None:
-                proc.terminate()
-        deadline = time.monotonic() + self.config.teardown_kill_s
-        for name, proc in self.processes.items():
-            try:
-                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            tracer.emit("child_killed", proc_name=name, returncode=proc.returncode)
+        self._stop_children(tracer, "child_killed")
         tracer.emit("teardown")
 
     def shutdown(self, reason: str = "requested") -> None:
@@ -429,22 +554,35 @@ class ClusterSupervisor:
         tracer = self._tracer
         if tracer is not None:
             tracer.emit("shutdown_requested", reason=reason)
-        for proc in self.processes.values():
+        self._stop_children(tracer, "child_stopped")
+        if tracer is not None:
+            tracer.emit("shutdown_complete", reason=reason)
+
+    def _stop_children(self, tracer: Optional[TraceWriter], event: str) -> None:
+        """Terminate every running worker, kill the ones still running
+        after ``config.teardown_kill_s``, and wait for all of them."""
+        procs = list(self.processes.items())
+        for _name, proc in procs:
             if proc.poll() is None:
                 proc.terminate()
         deadline = time.monotonic() + self.config.teardown_kill_s
-        for name, proc in self.processes.items():
+        for name, proc in procs:
             try:
                 proc.wait(timeout=max(0.1, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+                self._kill(proc)
             if tracer is not None:
-                tracer.emit(
-                    "child_stopped", proc_name=name, returncode=proc.returncode
-                )
-        if tracer is not None:
-            tracer.emit("shutdown_complete", reason=reason)
+                tracer.emit(event, proc_name=name, returncode=proc.returncode)
+
+    def _kill(self, proc: WorkerHandle) -> int:
+        """SIGKILL one worker and wait for its exit line; a launcher too
+        wedged to report it is killed, which reaps the worker here."""
+        proc.kill()
+        try:
+            return proc.wait(timeout=self.config.teardown_kill_s)
+        except subprocess.TimeoutExpired:
+            self.launcher.kill()
+            return proc.wait()
 
     def _harvest_stage_times(self) -> None:
         """Collect per-process stage timers out of the trace streams.
@@ -464,8 +602,11 @@ class ClusterSupervisor:
         trace events — a SIGKILLed worker's open span begins say *where*
         in the pipeline it died."""
         lines = []
-        for name, proc in self.processes.items():
-            rc = proc.poll()
+        procs = list(self.processes.items())
+        if self.launcher is not None:
+            procs.insert(0, ("launcher", self.launcher))
+        for name, proc in procs:
+            rc = proc.returncode
             state = "running" if rc is None else f"exit {rc}"
             lines.append(f"--- {name} ({state}) ---")
             log = (self.rundir / f"{name}.log") if self.rundir else None

@@ -21,9 +21,7 @@ Layers:
   GOP/picture/slice-level baselines and the Table 1 cost model.
 """
 
-from repro.parallel.pipeline import ParallelDecoder
-from repro.parallel.threaded import ThreadedParallelDecoder
-from repro.parallel.config import optimal_k, predicted_frame_rate
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ParallelDecoder",
@@ -31,3 +29,13 @@ __all__ = [
     "optimal_k",
     "predicted_frame_rate",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ParallelDecoder": "repro.parallel.pipeline",
+        "ThreadedParallelDecoder": "repro.parallel.threaded",
+        "optimal_k": "repro.parallel.config",
+        "predicted_frame_rate": "repro.parallel.config",
+    },
+)

@@ -7,6 +7,8 @@ and run in a dedicated CI job rather than the default matrix.
 
 import json
 import os
+import signal
+import threading
 import time
 
 import pytest
@@ -18,6 +20,40 @@ from repro.perf.trace import read_trace_file
 from repro.workloads.synthetic import moving_pattern_frames
 
 pytestmark = pytest.mark.integration
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still exists in any state.  A zombie (``Z``) counts
+    as alive: it is a worker nobody has reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "X"
+
+
+def _decode_in_thread(sup, stream):
+    """Run ``sup.decode`` on a thread; the outcome dict gets ``frames`` or
+    ``error``."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["frames"] = sup.decode(stream, timeout=120.0)
+        except ClusterError as exc:
+            outcome["error"] = exc
+
+    t = threading.Thread(target=run)
+    t.start()
+    return t, outcome
+
+
+def _wait_for_workers(sup, count, within=60.0):
+    deadline = time.monotonic() + within
+    while len(sup.processes) < count and time.monotonic() < deadline:
+        time.sleep(0.005)  # the launcher reports one pid line per fork
+    assert len(sup.processes) == count
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +276,44 @@ class TestShutdownAPI:
         events = read_trace_file(tmp_path / "supervisor.trace.jsonl")
         requested = [e for e in events if e.event == "shutdown_requested"]
         assert [e.data["reason"] for e in requested] == ["session cancelled"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestProcessLifetime:
+    """The launcher forks every worker and reaps it; nothing may outlive
+    a decode, whether it succeeds or the launcher itself is killed."""
+
+    def test_nothing_alive_after_a_successful_decode(self, clip_stream, tmp_path):
+        _, stream = clip_stream
+        sup = ClusterSupervisor(
+            WallConfig(m=2, n=1, k=1, transport="unix"), trace_dir=str(tmp_path)
+        )
+        frames = sup.decode(stream, timeout=120.0)
+        assert len(frames) == len(decode_stream(stream))
+        pids = [sup.launcher.pid] + [p.pid for p in sup.processes.values()]
+        assert len(pids) == 1 + 4
+        assert [pid for pid in pids if _alive(pid)] == []
+        assert sup.launcher.returncode == 0
+        assert {p.returncode for p in sup.processes.values()} == {0}
+
+    def test_killed_launcher_is_named_and_leaves_no_worker(self, tmp_path):
+        clip = moving_pattern_frames(96, 64, 40, seed=7)
+        stream = Encoder(EncoderConfig(gop_size=5, b_frames=2)).encode(clip)
+        sup = ClusterSupervisor(
+            WallConfig(m=2, n=1, k=1, transport="unix"), trace_dir=str(tmp_path)
+        )
+        t, outcome = _decode_in_thread(sup, stream)
+        _wait_for_workers(sup, 4)
+        # Freeze the root so no picture can flow: the decode is certainly
+        # still running when the launcher dies.
+        os.kill(sup.processes["root"].pid, signal.SIGSTOP)
+        os.kill(sup.launcher.pid, signal.SIGKILL)
+        t.join(timeout=60.0)
+        assert not t.is_alive()
+        assert "error" in outcome, "a killed launcher went unnoticed"
+        headline = str(outcome["error"]).splitlines()[0]
+        assert "launcher" in headline and "status -9" in headline
+        pids = [sup.launcher.pid] + [p.pid for p in sup.processes.values()]
+        assert [pid for pid in pids if _alive(pid)] == []
+        for name, proc in sup.processes.items():
+            assert proc.returncode == -9, f"{name} exited {proc.returncode}"
