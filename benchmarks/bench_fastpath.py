@@ -6,8 +6,8 @@ plan vs. execute), throughput in macroblocks/s and frames/s, and two
 speedups to ``BENCH_fastpath.json`` at the repo root:
 
 - ``reconstruct_speedup`` — per-macroblock reference vs. batched engine;
-- ``parse_speedup`` — bit-at-a-time reference VLC vs. the table-driven
-  fast parser (both decoding the batched path).
+- ``parse_speedup`` — the object parser on the bit-at-a-time reference
+  VLC vs. the fused columnar parse (both decoding the batched path).
 
 Both fast paths must be *bit-identical* to their reference — this bench
 asserts it on every run, so the committed baseline numbers always
@@ -15,7 +15,8 @@ correspond to an output-equivalent configuration.
 
 Run either under pytest-benchmark with the other tables/figures or
 directly: ``PYTHONPATH=src python benchmarks/bench_fastpath.py``.
-CI runs the smoke variant ``--frames 1 --small`` under a time budget.
+CI runs the smoke variant ``--frames 3 --small`` (I, P and B pictures)
+under a time budget.
 """
 
 import argparse

@@ -90,6 +90,43 @@ class ReconstructionPlan:
         return len(self.scans)
 
 
+def validate_mv(
+    mb_x: int, mb_y: int, mv: Tuple[int, int], frame_width: int, frame_height: int
+) -> None:
+    """Reject vectors whose prediction would read outside the planes.
+
+    Mirrors the bounds check in :func:`repro.mpeg2.motion.predict_plane`
+    for both the luma and the chroma read, but runs at *plan* time so a
+    corrupt record fails before the batch executes.
+    """
+    mvx, mvy = mv
+    x0, y0 = mb_x * 16 + (mvx >> 1), mb_y * 16 + (mvy >> 1)
+    if (
+        x0 < 0
+        or y0 < 0
+        or x0 + 16 + (mvx & 1) > frame_width
+        or y0 + 16 + (mvy & 1) > frame_height
+    ):
+        raise ValueError(
+            f"motion vector ({mvx},{mvy}) reads outside plane "
+            f"at ({mb_x * 16},{mb_y * 16})"
+        )
+    # chroma read (§7.6.3.7: chroma MV = luma MV / 2, toward zero)
+    cx = mvx // 2 if mvx >= 0 else -((-mvx) // 2)
+    cy = mvy // 2 if mvy >= 0 else -((-mvy) // 2)
+    x0, y0 = mb_x * 8 + (cx >> 1), mb_y * 8 + (cy >> 1)
+    if (
+        x0 < 0
+        or y0 < 0
+        or x0 + 8 + (cx & 1) > frame_width // 2
+        or y0 + 8 + (cy & 1) > frame_height // 2
+    ):
+        raise ValueError(
+            f"motion vector ({cx},{cy}) reads outside plane "
+            f"at ({mb_x * 8},{mb_y * 8})"
+        )
+
+
 class PlanBuilder:
     """Accumulate parsed macroblocks into a :class:`ReconstructionPlan`.
 
@@ -124,40 +161,6 @@ class PlanBuilder:
     # phase 1: staging
     # ------------------------------------------------------------------ #
 
-    def _validate_mv(self, mb_x: int, mb_y: int, mv: Tuple[int, int]) -> None:
-        """Reject vectors whose prediction would read outside the planes.
-
-        Mirrors the bounds check in :func:`repro.mpeg2.motion.predict_plane`
-        for both the luma and the chroma read, but runs at *plan* time so a
-        corrupt record fails before the batch executes.
-        """
-        mvx, mvy = mv
-        x0, y0 = mb_x * 16 + (mvx >> 1), mb_y * 16 + (mvy >> 1)
-        if (
-            x0 < 0
-            or y0 < 0
-            or x0 + 16 + (mvx & 1) > self.frame_width
-            or y0 + 16 + (mvy & 1) > self.frame_height
-        ):
-            raise ValueError(
-                f"motion vector ({mvx},{mvy}) reads outside plane "
-                f"at ({mb_x * 16},{mb_y * 16})"
-            )
-        # chroma read (§7.6.3.7: chroma MV = luma MV / 2, toward zero)
-        cx = mvx // 2 if mvx >= 0 else -((-mvx) // 2)
-        cy = mvy // 2 if mvy >= 0 else -((-mvy) // 2)
-        x0, y0 = mb_x * 8 + (cx >> 1), mb_y * 8 + (cy >> 1)
-        if (
-            x0 < 0
-            or y0 < 0
-            or x0 + 8 + (cx & 1) > self.frame_width // 2
-            or y0 + 8 + (cy & 1) > self.frame_height // 2
-        ):
-            raise ValueError(
-                f"motion vector ({cx},{cy}) reads outside plane "
-                f"at ({mb_x * 8},{mb_y * 8})"
-            )
-
     def _stage(self, mb: Macroblock) -> tuple:
         if mb.intra:
             mv_fwd = mv_bwd = None
@@ -173,9 +176,9 @@ class PlanBuilder:
         # The zero vector is always in bounds — the overwhelmingly common
         # case for skipped macroblocks, so skip its checks.
         if mv_fwd is not None and mv_fwd != (0, 0):
-            self._validate_mv(mb_x, mb_y, mv_fwd)
+            validate_mv(mb_x, mb_y, mv_fwd, self.frame_width, self.frame_height)
         if mv_bwd is not None and mv_bwd != (0, 0):
-            self._validate_mv(mb_x, mb_y, mv_bwd)
+            validate_mv(mb_x, mb_y, mv_bwd, self.frame_width, self.frame_height)
         return (mb, mb_x, mb_y, mv_fwd, mv_bwd)
 
     def add(self, mb: Macroblock) -> None:

@@ -24,6 +24,12 @@ def is_slice_start_code(code: int) -> bool:
     return SLICE_START_CODE_MIN <= code <= SLICE_START_CODE_MAX
 
 
+# End-of-slice detection: a macroblock never starts with 23 zero bits,
+# while the zero padding + start-code prefix that ends a slice always
+# provides them.
+EOS_BITS = 23
+
+
 # extension_start_code_identifier values (§6.3.1)
 SEQUENCE_EXTENSION_ID = 0x1
 PICTURE_CODING_EXTENSION_ID = 0x8

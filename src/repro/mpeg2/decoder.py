@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
-from repro.mpeg2.batch_reconstruct import PlanBuilder, execute_plan
+import numpy as np
+
+from repro.mpeg2.batch_reconstruct import execute_plan
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import MacroblockParser, ParsedPicture, PictureScanner
@@ -89,7 +91,7 @@ class Decoder:
         prev_anchor: Optional[Frame] = None
         for unit in pictures:
             with timers.stage("parse"):
-                parsed = parser.parse_picture(unit.data)
+                parsed = parser.parse_picture(unit.data, lean=True)
             timers.pictures += 1
             self.stats.picture_types.append(parsed.header.picture_type)
             self.stats.coded_macroblocks.append(parsed.n_coded)
@@ -142,24 +144,17 @@ def reconstruct_picture(
     out = Frame.blank(sequence.width, sequence.height)
     matrices = QuantMatrices.from_sequence(sequence)
     timers = timers if timers is not None else StageTimes()
-    seen = set()
     if batch:
         with timers.stage("plan"):
-            builder = PlanBuilder(
-                ptype,
-                parsed.mb_width,
-                sequence.width,
-                sequence.height,
-                matrices,
-                parsed.header.dc_scaler,
-            )
-            for item in parsed.items:
-                seen.add(item.mb.address)
-                builder.add(item.mb)
-            plan = builder.build()
+            cols = parsed.columns
+            idx = np.arange(cols.n)
+            cols.check_staging(sequence.width, sequence.height, idx)
+            plan = cols.plan(idx, matrices, parsed.header.dc_scaler)
         with timers.stage("execute"):
             execute_plan(plan, out, fwd, bwd)
+        n_seen = len(np.unique(cols.address))
     else:
+        seen = set()
         with timers.stage("execute"):
             for item in parsed.items:
                 seen.add(item.mb.address)
@@ -167,9 +162,10 @@ def reconstruct_picture(
                     item.mb, ptype, out, fwd, bwd, parsed.mb_width, matrices,
                     parsed.header.dc_scaler,
                 )
+        n_seen = len(seen)
     expected = parsed.mb_width * parsed.mb_height
-    if len(seen) != expected:
-        missing = expected - len(seen)
+    if n_seen != expected:
+        missing = expected - n_seen
         raise ValueError(f"picture is missing {missing} macroblocks")
     return out
 

@@ -54,12 +54,15 @@ def use_reference():
 # ---------------------------------------------------------------------- #
 
 
-def _fill(lut: List[Optional[tuple]], bits: int, length: int, width: int, entry: tuple) -> None:
+def _fill(
+    lut: List[Optional[tuple]], bits: int, length: int, width: int, entry: tuple,
+    empty: Optional[tuple] = None,
+) -> None:
     """Write ``entry`` into every LUT slot whose top ``length`` bits match."""
     shift = width - length
     base = bits << shift
     for i in range(1 << shift):
-        if lut[base + i] is not None:
+        if lut[base + i] is not empty:
             raise ValueError(
                 f"VLC LUT conflict at {bits:0{length}b} (width {width})"
             )
@@ -79,27 +82,33 @@ def _build_sym_lut(
 
 
 # DCT coefficient LUTs: 16 bits cover the longest run/level code (13 bits)
-# plus its sign bit; EOB and the escape prefix become sentinel entries so
-# one lookup classifies every symbol.  No Annex B code is all zeros, so the
-# zero-padding past end-of-buffer can never decode as a symbol.
+# plus its sign bit.  Every slot holds ``(step, level, length)`` so one
+# lookup classifies every symbol: ``step = run + 1`` for a run/level code
+# (sign folded into ``level``), ``STEP_EOB`` for end-of-block,
+# ``STEP_ESCAPE`` for the escape prefix and ``STEP_NO_CODE`` where no code
+# matches.  No Annex B code is all zeros, so the zero-padding past
+# end-of-buffer can never decode as a symbol.
 COEFF_BITS = 16
-_EOB_RUN = -1
-_ESC_RUN = -2
+STEP_EOB = 0
+STEP_ESCAPE = -1
+STEP_NO_CODE = -2
 
 
 def _build_coeff_lut(
     mapping: Dict[Tuple[int, int], Tuple[int, int]], eob_code: Tuple[int, int]
-) -> List[Optional[tuple]]:
-    lut: List[Optional[tuple]] = [None] * (1 << COEFF_BITS)
+) -> List[tuple]:
+    no_code = (STEP_NO_CODE, 0, 0)
+    lut = [no_code] * (1 << COEFF_BITS)
     for (run, a), (bits, length) in mapping.items():
         if length + 1 > COEFF_BITS:
             raise ValueError(f"code for (run={run}, level={a}) exceeds {COEFF_BITS} bits")
-        _fill(lut, bits << 1, length + 1, COEFF_BITS, (run, a, length + 1))
-        _fill(lut, (bits << 1) | 1, length + 1, COEFF_BITS, (run, -a, length + 1))
+        for sign, level in ((0, a), (1, -a)):
+            _fill(lut, (bits << 1) | sign, length + 1, COEFF_BITS,
+                  (run + 1, level, length + 1), no_code)
     eob_bits, eob_len = eob_code
-    _fill(lut, eob_bits, eob_len, COEFF_BITS, (_EOB_RUN, 0, eob_len))
+    _fill(lut, eob_bits, eob_len, COEFF_BITS, (STEP_EOB, 0, eob_len), no_code)
     esc_bits, esc_len = T.DCT_ESCAPE_CODE
-    _fill(lut, esc_bits, esc_len, COEFF_BITS, (_ESC_RUN, 0, esc_len))
+    _fill(lut, esc_bits, esc_len, COEFF_BITS, (STEP_ESCAPE, 0, esc_len), no_code)
     return lut
 
 
@@ -243,22 +252,16 @@ def decode_ac_into(br: BitReader, scan, intra: bool, table_one: bool = False) ->
                 scan[p] = -1 if v & 0x4000 else 1
                 pos += 2
                 continue
-        hit = lut[v]
-        if hit is None:
-            br.pos = pos
-            raise VLCError(
-                f"no DCT coefficient code matches bits {v:016b} at bit {pos}"
-            )
-        run, level, length = hit
-        if run >= 0:
+        step, level, length = lut[v]
+        if step > 0:
             pos += length
-        elif run == _EOB_RUN:
+        elif step == STEP_EOB:
             br.pos = pos + length
             return
-        else:
+        elif step == STEP_ESCAPE:
             # Escape: 6-bit prefix + 6-bit run + 12-bit two's-complement level.
             v = (win >> (wend - pos - 24)) & 0xFFFFFF
-            run = (v >> 12) & 0x3F
+            step = ((v >> 12) & 0x3F) + 1
             level = v & 0xFFF
             if level >= 2048:
                 level -= 4096
@@ -266,7 +269,12 @@ def decode_ac_into(br: BitReader, scan, intra: bool, table_one: bool = False) ->
                 br.pos = pos
                 raise VLCError("escape-coded level of zero")
             pos += 24
-        p += run + 1
+        else:
+            br.pos = pos
+            raise VLCError(
+                f"no DCT coefficient code matches bits {v:016b} at bit {pos}"
+            )
+        p += step
         if p > 63:
             br.pos = pos
             raise BitstreamError(

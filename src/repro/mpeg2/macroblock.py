@@ -290,7 +290,7 @@ def _decode_block(
 # macroblock encode / parse
 # ---------------------------------------------------------------------- #
 
-_COMPONENT_OF_BLOCK = (0, 0, 0, 0, 1, 2)  # Y Y Y Y Cb Cr
+COMPONENT_OF_BLOCK = (0, 0, 0, 0, 1, 2)  # Y Y Y Y Cb Cr
 
 
 def encode_macroblock(
@@ -314,13 +314,13 @@ def encode_macroblock(
     if mb.intra:
         for b in range(6):
             assert mb.blocks[b] is not None
-            _encode_block(bw, mb.blocks[b], _COMPONENT_OF_BLOCK[b], True, state)
+            _encode_block(bw, mb.blocks[b], COMPONENT_OF_BLOCK[b], True, state)
     elif mb.pattern:
         vlc.CBP.encode(bw, mb.cbp)
         for b in range(6):
             if mb.cbp & (1 << (5 - b)):
                 assert mb.blocks[b] is not None
-                _encode_block(bw, mb.blocks[b], _COMPONENT_OF_BLOCK[b], False, state)
+                _encode_block(bw, mb.blocks[b], COMPONENT_OF_BLOCK[b], False, state)
     # predictor resets (§7.2.1, §7.6.3.4)
     if not mb.intra:
         state.reset_dc()
@@ -370,12 +370,12 @@ def parse_macroblock_body(br: BitReader, state: CodingState) -> Macroblock:
     if mb.intra:
         mb.cbp = 0x3F
         for b in range(6):
-            mb.blocks[b] = _decode_block(br, _COMPONENT_OF_BLOCK[b], True, state)
+            mb.blocks[b] = _decode_block(br, COMPONENT_OF_BLOCK[b], True, state)
     elif mb.pattern:
         mb.cbp = fast_vlc.decode_cbp(br) if fast_vlc.ENABLED else vlc.CBP.decode(br)
         for b in range(6):
             if mb.cbp & (1 << (5 - b)):
-                mb.blocks[b] = _decode_block(br, _COMPONENT_OF_BLOCK[b], False, state)
+                mb.blocks[b] = _decode_block(br, COMPONENT_OF_BLOCK[b], False, state)
     if not mb.intra:
         state.reset_dc()
     if mb.intra:

@@ -15,11 +15,14 @@ pre-calculate remote-block exchanges.  It does no pixel reconstruction
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Tuple
+
+import numpy as np
 
 from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2.constants import (
+    EOS_BITS,
     GROUP_START_CODE,
     PICTURE_START_CODE,
     SEQUENCE_END_CODE,
@@ -34,6 +37,9 @@ from repro.mpeg2.macroblock import (
     parse_macroblock_body,
 )
 from repro.mpeg2.structures import GOPHeader, PictureHeader, SequenceHeader
+
+if TYPE_CHECKING:
+    from repro.mpeg2.columns import PictureColumns
 
 
 @dataclass
@@ -144,28 +150,106 @@ class ParsedMB:
     slice_index: int = 0
 
 
-@dataclass
 class ParsedPicture:
-    """Full macroblock-level parse of one coded picture."""
+    """Full macroblock-level parse of one coded picture.
 
-    header: PictureHeader
-    data: bytes
-    mb_width: int
-    mb_height: int
-    items: List[ParsedMB] = field(default_factory=list)  # stream order
-    n_skipped: int = 0
+    Two equivalent representations, either built on demand from the
+    other: :attr:`columns` (a :class:`~repro.mpeg2.columns.PictureColumns`,
+    what the fused parser produces and every plan compiler reads) and
+    :attr:`items` (one :class:`ParsedMB` per macroblock, stream order,
+    what the object walkers read).  Materializing ``items`` hands them
+    ownership: the columns are dropped and later rebuilt from the items,
+    so edits made to the objects reach the array consumers.
+    """
+
+    def __init__(
+        self,
+        header: PictureHeader,
+        data: bytes,
+        mb_width: int,
+        mb_height: int,
+        items: Optional[List[ParsedMB]] = None,
+        n_skipped: int = 0,
+        columns: Optional[PictureColumns] = None,
+    ):
+        self.header = header
+        self.data = data
+        self.mb_width = mb_width
+        self.mb_height = mb_height
+        if columns is None and items is None:
+            items = []
+        self._items = items
+        self._columns = columns
+        self.n_skipped = columns.n_skipped if columns is not None else n_skipped
+
+    @property
+    def columns(self) -> PictureColumns:
+        if self._columns is None:
+            from repro.mpeg2.columns import PictureColumns
+
+            self._columns = PictureColumns.from_items(
+                self._items, self.header.picture_type, self.mb_width
+            )
+        return self._columns
+
+    @property
+    def items(self) -> List[ParsedMB]:
+        if self._items is None:
+            self._items = _materialize(self._columns)
+            self._columns = None
+        return self._items
 
     @property
     def n_coded(self) -> int:
-        return len(self.items) - self.n_skipped
+        n = len(self._items) if self._items is not None else self._columns.n
+        return n - self.n_skipped
 
     def coded_items(self) -> List[ParsedMB]:
         return [it for it in self.items if not it.mb.skipped]
 
 
-# End-of-slice detection: a macroblock never starts with 23 zero bits, while
-# the zero padding + start-code prefix that ends a slice always provides them.
-_EOS_BITS = 23
+def _materialize(cols: PictureColumns) -> List[ParsedMB]:
+    """One :class:`ParsedMB` per column row (blocks are views of the stack)."""
+    state = cols.state.tolist() if cols.state is not None else None
+    scans = cols.scans
+    slots = cols.slots.tolist()
+    first = cols.first_blk.tolist()
+    nblk = cols.nblk.tolist()
+    mvf, mvb = cols.mvf_raw.tolist(), cols.mvb_raw.tolist()
+    out: List[ParsedMB] = []
+    for i, (addr, quant, fwd, bwd, pat, intra, skipped, qcode, hf, hb, cbp,
+            b0, bb, b1, row, sid) in enumerate(zip(
+                cols.address.tolist(), cols.quant.tolist(),
+                cols.fwd_flag.tolist(), cols.bwd_flag.tolist(),
+                cols.pattern.tolist(), cols.intra.tolist(),
+                cols.skipped.tolist(), cols.qscale_code.tolist(),
+                cols.has_f.tolist(), cols.has_b.tolist(), cols.cbp.tolist(),
+                cols.bit_start.tolist(), cols.body_start.tolist(),
+                cols.bit_end.tolist(), cols.slice_row.tolist(),
+                cols.slice_index.tolist())):
+        blocks: List[Optional[np.ndarray]] = [None] * 6
+        for k in range(first[i], first[i] + nblk[i]):
+            blocks[slots[k]] = scans[k]
+        mb = Macroblock(
+            address=addr, quant=quant, motion_forward=fwd,
+            motion_backward=bwd, pattern=pat, intra=intra, qscale_code=qcode,
+            mv_fwd=tuple(mvf[i]) if hf else None,
+            mv_bwd=tuple(mvb[i]) if hb else None,
+            cbp=cbp, blocks=blocks, skipped=skipped,
+            bit_start=b0, body_start=bb, bit_end=b1,
+        )
+        snap = None
+        if state is not None:
+            q, d0, d1, d2, fx, fy, bx, by, pf, pb = state[i]
+            snap = {
+                "qscale_code": q,
+                "dc_pred": [d0, d1, d2],
+                "pmv": [[fx, fy], [bx, by]],
+                "prev_forward": bool(pf),
+                "prev_backward": bool(pb),
+            }
+        out.append(ParsedMB(mb=mb, state_before=snap, slice_row=row, slice_index=sid))
+    return out
 
 
 class MacroblockParser:
@@ -179,39 +263,66 @@ class MacroblockParser:
     def parse_picture(self, data: bytes, lean: bool = False) -> ParsedPicture:
         """VLC-parse one coded picture.
 
+        With :mod:`~repro.mpeg2.fast_vlc` enabled (the default) this is
+        the fused columnar parse (:func:`~repro.mpeg2.columns.parse_picture_columns`);
+        under ``fast_vlc.use_reference()`` it is the object parser.  Both
+        yield the same picture, field for field.
+
         With ``lean=True`` the per-macroblock predictor-state snapshots are
         skipped (``state_before`` is ``None``) — they exist only for the
-        sub-picture builder's State Propagation Headers, and allocating
-        the dicts dominates parse time for plan-shipping splitters, which
-        never read them.
+        sub-picture builder's State Propagation Headers, and plan
+        compilers and reconstruction never read them.
         """
-        br = BitReader(data)
-        code = br.next_start_code()
-        if code != PICTURE_START_CODE:
-            raise BitstreamError("picture unit does not start with picture code")
-        header = PictureHeader.parse(br)
-        parsed = ParsedPicture(
-            header=header,
-            data=data,
-            mb_width=self.mb_width,
-            mb_height=self.mb_height,
+        if not fast_vlc.ENABLED:
+            return self.parse_picture_objects(data, lean)
+        # Imported on first parse, not with the module: the service and
+        # wall-receiver start paths import this module but parse nothing
+        # before they are ready.
+        from repro.mpeg2.columns import parse_picture_columns
+
+        br, header = self._header(data)
+        cols = parse_picture_columns(br, header, self.mb_width, self.mb_height, lean)
+        return ParsedPicture(
+            header=header, data=data, mb_width=self.mb_width,
+            mb_height=self.mb_height, columns=cols,
         )
+
+    def parse_picture_objects(self, data: bytes, lean: bool = False) -> ParsedPicture:
+        """The object parser: one :class:`ParsedMB` per macroblock.
+
+        The reference the fused parse is differentially tested against;
+        it decodes with whichever VLC path ``fast_vlc.ENABLED`` selects.
+        """
+        br, header = self._header(data)
+        items: List[ParsedMB] = []
         slice_index = 0
         while True:
             code = br.peek_start_code()
             if code is None or not is_slice_start_code(code):
                 break
             br.next_start_code()
-            self._parse_slice(br, code - 1, header, parsed, slice_index, lean)
+            self._parse_slice(br, code - 1, header, items, slice_index, lean)
             slice_index += 1
-        return parsed
+        return ParsedPicture(
+            header=header, data=data, mb_width=self.mb_width,
+            mb_height=self.mb_height, items=items,
+            n_skipped=sum(1 for it in items if it.mb.skipped),
+        )
+
+    @staticmethod
+    def _header(data: bytes) -> Tuple[BitReader, PictureHeader]:
+        br = BitReader(data)
+        code = br.next_start_code()
+        if code != PICTURE_START_CODE:
+            raise BitstreamError("picture unit does not start with picture code")
+        return br, PictureHeader.parse(br)
 
     def _parse_slice(
         self,
         br: BitReader,
         row: int,
         header: PictureHeader,
-        parsed: ParsedPicture,
+        items: List[ParsedMB],
         slice_index: int = 0,
         lean: bool = False,
     ) -> None:
@@ -230,7 +341,7 @@ class MacroblockParser:
             if fast_vlc.ENABLED
             else vlc.decode_address_increment
         )
-        while br.bits_left() > 0 and br.peek(_EOS_BITS) != 0:
+        while br.bits_left() > 0 and br.peek(EOS_BITS) != 0:
             bit_start = br.pos
             increment = decode_increment(br)
             address = prev_addr + increment
@@ -248,7 +359,7 @@ class MacroblockParser:
             for skip_addr in range(skip_from, address):
                 skip_snap = None if lean else state.snapshot()
                 smb = make_skipped(skip_addr, state)
-                parsed.items.append(
+                items.append(
                     ParsedMB(
                         mb=smb,
                         state_before=skip_snap,
@@ -256,12 +367,11 @@ class MacroblockParser:
                         slice_index=slice_index,
                     )
                 )
-                parsed.n_skipped += 1
             snap = None if lean else state.snapshot()
             mb = parse_macroblock_body(br, state)
             mb.bit_start = bit_start
             mb.address = address
-            parsed.items.append(
+            items.append(
                 ParsedMB(
                     mb=mb,
                     state_before=snap,

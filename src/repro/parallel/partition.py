@@ -77,7 +77,13 @@ def equalize_cells(weights: Sequence[float], parts: int) -> List[int]:
     cuts = [0]
     for i in range(1, parts):
         if total > 0:
-            cell = int(np.searchsorted(cum, total * i / parts, side="left")) + 1
+            # Cut nearest the cumulative target: after the crossing cell
+            # (``j``) or before it, whichever leaves the earlier parts
+            # closer to their share; a tie keeps the crossing cell.
+            target = total * i / parts
+            j = int(np.searchsorted(cum, target, side="left"))
+            below = float(cum[j - 1]) if j > 0 else 0.0
+            cell = j if target - below < float(cum[j]) - target else j + 1
         else:
             cell = round(n * i / parts)
         # Forward clamp: the previous part keeps >= 1 cell.  Backward
@@ -501,22 +507,15 @@ def content_profile(parsed) -> Tuple[np.ndarray, np.ndarray]:
     they count as one bit so fully-skipped regions keep nonzero weight.
     """
     mbw, mbh = parsed.mb_width, parsed.mb_height
-    items = parsed.items
-    n = len(items)
-    if n == 0:
+    cols = parsed.columns
+    if cols.n == 0:
         return np.zeros(mbw), np.zeros(mbh)
-    addr = np.fromiter((it.mb.address for it in items), np.int64, n)
-    bits = np.fromiter(
-        (
-            1 if it.mb.skipped else max(it.mb.bit_end - it.mb.bit_start, 1)
-            for it in items
-        ),
-        np.int64,
-        n,
+    bits = np.where(
+        cols.skipped, 1, np.maximum(cols.bit_end - cols.bit_start, 1)
     )
-    cols = np.bincount(addr % mbw, weights=bits, minlength=mbw)[:mbw]
-    rows = np.bincount(addr // mbw, weights=bits, minlength=mbh)[:mbh]
-    return cols.astype(float), rows.astype(float)
+    cols_bits = np.bincount(cols.mbx, weights=bits, minlength=mbw)[:mbw]
+    rows_bits = np.bincount(cols.mby, weights=bits, minlength=mbh)[:mbh]
+    return cols_bits.astype(float), rows_bits.astype(float)
 
 
 __all__ = [

@@ -5,8 +5,11 @@ application records of a wall broadcast:
 
 - ``W_SEQ`` (sticky): the stream preamble — JSON metadata (raster, fps,
   picture count, wall spec, tune-in anchors, presentation epoch) plus the
-  pickled :class:`~repro.mpeg2.structures.SequenceHeader`.  Sticky, so a
-  late joiner receives it during the SUBSCRIBE handshake.
+  coded sequence header (``sequence_header`` + ``sequence_extension``
+  exactly as in the elementary stream, custom quantiser matrices
+  included).  Nothing on the wire is unpickled: the records may arrive
+  over UDP multicast from anyone on the segment.  Sticky, so a late
+  joiner receives it during the SUBSCRIBE handshake.
 - ``W_PIC``: one coded picture — a fixed header (coded index, picture
   type, GOP flags, decode-closure margin, PTS) followed by the raw coded
   bytes, appended without copying.  The coded bytes are tile-independent,
@@ -35,15 +38,19 @@ and still be bit-identical to a clean decode from that point.
 from __future__ import annotations
 
 import json
-import pickle
 import struct
 import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bitstream import BitReader
-from repro.mpeg2.constants import MB_SIZE, PICTURE_START_CODE, PictureType
+from repro.bitstream import BitReader, BitstreamError, BitWriter
+from repro.mpeg2.constants import (
+    MB_SIZE,
+    PICTURE_START_CODE,
+    SEQUENCE_HEADER_CODE,
+    PictureType,
+)
 from repro.mpeg2.parser import PictureScanner, PictureUnit
 from repro.mpeg2.structures import PictureHeader, SequenceHeader
 from repro.net.bcast import ALL_TILES, BroadcastRecord, BroadcastSender
@@ -107,15 +114,40 @@ def decode_pic_payload(payload: bytes) -> WallPicture:
     )
 
 
+class WallPayloadError(ValueError):
+    """A wall record payload that is truncated or not a wall record."""
+
+
 def encode_seq_payload(meta: Dict, sequence: SequenceHeader) -> bytes:
+    """``<u32 len>`` + JSON metadata + the coded sequence header."""
     blob = json.dumps(meta).encode("utf-8")
-    return struct.pack("<I", len(blob)) + blob + pickle.dumps(sequence)
+    bw = BitWriter()
+    sequence.write(bw)
+    return struct.pack("<I", len(blob)) + blob + bw.getvalue()
 
 
 def decode_seq_payload(payload: bytes) -> Tuple[Dict, SequenceHeader]:
-    (n,) = struct.unpack_from("<I", payload)
-    meta = json.loads(payload[4 : 4 + n].decode("utf-8"))
-    sequence = pickle.loads(payload[4 + n :])
+    """Inverse of :func:`encode_seq_payload`; :class:`WallPayloadError`
+    on anything else (the coded header must fill the tail exactly)."""
+    try:
+        (n,) = struct.unpack_from("<I", payload)
+        if 4 + n > len(payload):
+            raise WallPayloadError("W_SEQ metadata truncated")
+        meta = json.loads(bytes(payload[4 : 4 + n]).decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise WallPayloadError("W_SEQ metadata is not an object")
+        br = BitReader(bytes(payload[4 + n :]))
+        if br.next_start_code() != SEQUENCE_HEADER_CODE or br.pos != 32:
+            raise WallPayloadError("W_SEQ carries no sequence header")
+        sequence = SequenceHeader.parse(br)
+        if br.pos != br.nbits:
+            raise WallPayloadError(
+                f"W_SEQ sequence header ends at bit {br.pos} of {br.nbits}"
+            )
+    except (struct.error, ValueError, BitstreamError) as exc:
+        if isinstance(exc, WallPayloadError):
+            raise
+        raise WallPayloadError(f"malformed W_SEQ payload: {exc}") from exc
     return meta, sequence
 
 

@@ -83,6 +83,18 @@ def test_uniform_weights_reproduce_the_static_grid():
         assert equalize_pixel_bounds(np.ones(mbw), parts) == lay.x_bounds
 
 
+def test_cut_lands_nearest_the_target():
+    # target 6.25: cutting before the crossing cell (4.5) is closer than
+    # after it (8.5)
+    assert equalize_cells([4, 0.5, 4, 4], 2) == [0, 2, 4]
+    # a small imbalance either way keeps the static cut
+    assert equalize_cells([0.9] * 3 + [1.0] * 3, 2) == [0, 3, 6]
+    assert equalize_cells([1.1] * 3 + [1.0] * 3, 2) == [0, 3, 6]
+    # ... while a large one moves it toward the heavy side
+    assert equalize_cells([3.0] * 3 + [1.0] * 3, 2) == [0, 2, 6]
+    assert equalize_cells([1.0] * 3 + [3.0] * 3, 2) == [0, 4, 6]
+
+
 def test_concentrated_weight_still_yields_valid_bounds():
     """All the load in one cell: every part still gets >= 1 cell."""
     w = np.zeros(8)
@@ -275,6 +287,18 @@ def detail_stream():
     return stream, decode_stream(stream)
 
 
+@pytest.fixture(scope="module")
+def corner_detail_stream():
+    """The busy region stays in the top-left tile: a real content skew
+    (the centred clip above is balanced to within one macroblock column
+    under the coded-bit proxy, so nearest-target cuts keep the grid)."""
+    clip = localized_detail_frames(
+        96, 64, 20, center=(0.15, 0.2), radius_frac=0.15, seed=3
+    )
+    stream = Encoder(EncoderConfig(gop_size=5, b_frames=1)).encode(clip)
+    return stream, decode_stream(stream)
+
+
 @pytest.mark.parametrize("policy", ["content", "feedback"])
 def test_threaded_adaptive_bit_identical(detail_stream, policy):
     stream, ref = detail_stream
@@ -304,17 +328,51 @@ def test_threaded_adaptive_actually_repartitions(detail_stream):
     assert static.partition_updates == []
 
 
+# Loaded into the cluster's worker interpreters (via PYTHONPATH) by the
+# feedback variant below: the root's feedback policy sees a fixed busy
+# time per tile — tile 0 three times the others — instead of measured
+# CPU time, which on a 96x64 clip is ~2 ms/picture of mostly fixed cost
+# and whose tile-to-tile order is noise.  The reports still travel the
+# real decoder -> splitter -> root relay.
+_DETERMINISTIC_BUSY = """
+from repro.parallel import partition as _partition
+
+_observe = _partition.FeedbackPolicy.observe_execute
+
+
+def _fixed_busy(self, picture, tile, busy_s):
+    _observe(self, picture, tile, 3.0 if tile == 0 else 1.0)
+
+
+_partition.FeedbackPolicy.observe_execute = _fixed_busy
+"""
+
+
 @pytest.mark.integration
 @pytest.mark.parametrize("policy", ["content", "feedback"])
 def test_cluster_adaptive_bit_identical_with_repartition(
-    detail_stream, policy, tmp_path
+    detail_stream, corner_detail_stream, policy, tmp_path, monkeypatch
 ):
     """Full multi-process cluster: adaptive output equals sequential AND
-    at least one versioned layout update was applied by every decoder."""
+    at least one versioned layout update was applied by every decoder.
+
+    The content policy reads the splitters' coded-bit profiles of a clip
+    whose busy region sits in one tile; the feedback policy reads a
+    deterministic per-tile busy time (see ``_DETERMINISTIC_BUSY``)."""
+    import os
+
     from repro.cluster.runtime import ClusterSupervisor, WallConfig
     from repro.perf.trace import read_trace_file
 
-    stream, ref = detail_stream
+    if policy == "feedback":
+        hook = tmp_path / "busy_hook"
+        hook.mkdir()
+        (hook / "sitecustomize.py").write_text(_DETERMINISTIC_BUSY)
+        path = os.environ.get("PYTHONPATH")
+        monkeypatch.setenv(
+            "PYTHONPATH", str(hook) + (os.pathsep + path if path else "")
+        )
+    stream, ref = corner_detail_stream if policy == "content" else detail_stream
     sup = ClusterSupervisor(
         WallConfig(m=2, n=2, k=2, transport="unix", partition_policy=policy),
         trace_dir=str(tmp_path),

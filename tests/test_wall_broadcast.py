@@ -11,10 +11,14 @@ from repro.mpeg2.decoder import decode_stream
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.mpeg2.parser import PictureScanner
 from repro.service import ServiceClient, ServiceConfig, WallService
+from repro.mpeg2.structures import SequenceHeader
 from repro.wall.broadcast import (
     WallBroadcaster,
+    WallPayloadError,
     _parse_picture_header,
     decode_margins,
+    decode_seq_payload,
+    encode_seq_payload,
     tune_anchors,
 )
 from repro.wall.clock import PresentationClock
@@ -74,6 +78,68 @@ class TestAnchorsAndMargins:
         # an open GOP's leading B-frames reference the previous GOP, so
         # only picture 0 (which needs no prior state) may tune a joiner
         assert tune_anchors(pictures) == [0]
+
+
+# --------------------------------------------------------------------- #
+# W_SEQ payload: coded sequence header, never pickle
+# --------------------------------------------------------------------- #
+
+
+def _custom_sequence() -> SequenceHeader:
+    rng = np.random.default_rng(5)
+    return SequenceHeader(
+        width=1920,
+        height=1088,
+        frame_rate_code=3,
+        bit_rate=123_456,
+        vbv_buffer_size=1500,
+        intra_matrix=rng.integers(1, 256, (8, 8)),
+        non_intra_matrix=rng.integers(1, 256, (8, 8)),
+    )
+
+
+class TestSeqPayload:
+    META = {"width": 1920, "height": 1088, "anchors": [0, 12], "epoch": 1.5}
+
+    def test_round_trip_with_custom_matrices(self):
+        seq = _custom_sequence()
+        meta, back = decode_seq_payload(encode_seq_payload(self.META, seq))
+        assert meta == self.META
+        assert back == seq
+        assert back.intra_matrix.tolist() == seq.intra_matrix.tolist()
+        assert back.non_intra_matrix.tolist() == seq.non_intra_matrix.tolist()
+
+    def test_round_trip_default_matrices(self, clip_stream):
+        seq, _ = PictureScanner(clip_stream).scan()
+        _, back = decode_seq_payload(encode_seq_payload({}, seq))
+        assert back == seq
+        assert back.intra_matrix is None and back.non_intra_matrix is None
+
+    def test_malformed_payloads_raise_typed_error_without_unpickling(
+        self, monkeypatch
+    ):
+        import pickle
+
+        calls = []
+        monkeypatch.setattr(pickle, "loads", lambda *a, **k: calls.append(a))
+        good = encode_seq_payload(self.META, _custom_sequence())
+        blob_end = 4 + int.from_bytes(good[:4], "little")
+        bad = [
+            b"",
+            b"\x01\x00",
+            b"\xff\xff\xff\x7f{}",  # metadata length past the end
+            good[:blob_end],  # no coded header at all
+            good[: blob_end + 9],  # header cut inside the matrices
+            good[:-1],  # header cut inside the extension
+            good + b"\x00",  # trailing garbage
+            good[:4] + b"[1, 2]" + good[blob_end:],  # wrong length/metadata
+            good[:blob_end] + pickle.dumps(_custom_sequence()),
+            bytes(range(256)),
+        ]
+        for payload in bad:
+            with pytest.raises(WallPayloadError):
+                decode_seq_payload(payload)
+        assert calls == []
 
 
 # --------------------------------------------------------------------- #
